@@ -14,13 +14,13 @@ stdio mode (the ``subprocess`` transport)
         {"ok": false, "spec_hash": H, "kind": "Preempted",
          "checkpoint": {...resumable search state...}, "error": "..."}
 
-    A ``{"preempt": true}`` control line arriving *mid-job* makes the
-    solver flush its state and answer with the ``Preempted`` reply,
-    after which the worker exits — the transport hands the checkpoint
-    to a replacement worker, which resumes the proof instead of
-    restarting it.  EOF on stdin ends the worker.  Nothing else is ever
-    written to stdout, so the dispatcher can treat a short read as
-    worker death.
+    A ``{"preempt": true}`` control line arriving after a job (while it
+    runs, or while it is still queued) makes the solver flush its state
+    and answer with the ``Preempted`` reply, after which the worker
+    exits — the transport hands the checkpoint to a replacement worker,
+    which resumes the proof instead of restarting it.  EOF on stdin
+    ends the worker.  Nothing else is ever written to stdout, so the
+    dispatcher can treat a short read as worker death.
 
 spool mode (the ``spool`` transport; ``--spool DIR``)
     Poll ``DIR/jobs/`` for ``<spec-hash>.json`` job documents, claim
@@ -244,6 +244,71 @@ def _stdio_reply(
     return {"ok": True, "spec_hash": spec.spec_hash, "result": payload}
 
 
+class _StdioInbox:
+    """stdin lines, pumped by a reader thread, sorted into queued jobs
+    and preempt marks.
+
+    Jobs are numbered in arrival order.  A ``{"preempt": true}`` line
+    preempts every job that arrived before it and has not finished —
+    including one still queued behind the drain, so a preempt buffered
+    together with its job is kept rather than dropped.  A preempt that
+    reaches a job only after the job finished (or that arrives with no
+    job at all) never touches a later job.
+    """
+
+    def __init__(self, stdin: TextIO) -> None:
+        self._lines: "queue.Queue[str]" = queue.Queue()
+        self.eof = threading.Event()
+        self._jobs: deque[tuple[int, str]] = deque()
+        self._received = 0
+        self._preempt_before = 0  # jobs numbered below this are preempted
+        threading.Thread(
+            target=self._pump, args=(stdin,), daemon=True, name="repro-stdin-pump"
+        ).start()
+
+    def _pump(self, stdin: TextIO) -> None:
+        try:
+            for raw in stdin:
+                self._lines.put(raw)
+        finally:
+            self.eof.set()
+
+    def _take(self, raw: str) -> None:
+        line = raw.strip()
+        if not line:
+            return
+        if _is_preempt_control(line):
+            self._preempt_before = self._received
+        else:
+            self._jobs.append((self._received, line))
+            self._received += 1
+
+    def _drain(self) -> None:
+        while True:
+            try:
+                raw = self._lines.get_nowait()
+            except queue.Empty:
+                return
+            self._take(raw)
+
+    def next_job(self) -> tuple[int, str] | None:
+        """The next ``(number, line)`` job; ``None`` at EOF."""
+        while True:
+            self._drain()
+            if self._jobs:
+                return self._jobs.popleft()
+            if self.eof.is_set() and self._lines.empty():
+                return None
+            try:
+                self._take(self._lines.get(timeout=0.05))
+            except queue.Empty:
+                continue
+
+    def preempted(self, number: int) -> bool:
+        self._drain()
+        return self._preempt_before > number
+
+
 def stdio_worker_loop(
     stdin: TextIO | None = None,
     stdout: TextIO | None = None,
@@ -259,64 +324,26 @@ def stdio_worker_loop(
     with the checkpoint payload and exits; the transport's replacement
     worker resumes from it.
     """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    inbox = _StdioInbox(stdin if stdin is not None else sys.stdin)
+    return _serve_stdio(
+        inbox,
+        stdout if stdout is not None else sys.stdout,
+        checkpoint_every=checkpoint_every,
+    )
+
+
+def _serve_stdio(
+    inbox: _StdioInbox, stdout: TextIO, *, checkpoint_every: int | None
+) -> int:
     injector = FaultInjector.from_env()
-    lines: "queue.Queue[str]" = queue.Queue()
-    eof = threading.Event()
-
-    def _pump() -> None:
-        try:
-            for raw in stdin:
-                lines.put(raw)
-        finally:
-            eof.set()
-
-    threading.Thread(target=_pump, daemon=True, name="repro-stdin-pump").start()
-
-    jobs: deque[str] = deque()
-    preempt_flag = threading.Event()
-
-    def _drain() -> None:
-        """Move buffered lines into the job deque, consuming preempt
-        control lines into the flag as they pass."""
-        while True:
-            try:
-                raw = lines.get_nowait()
-            except queue.Empty:
-                return
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if _is_preempt_control(stripped):
-                preempt_flag.set()
-            else:
-                jobs.append(stripped)
-
-    def _preempt(st) -> bool:
-        _drain()
-        return preempt_flag.is_set()
-
     while True:
-        _drain()
-        if jobs:
-            line = jobs.popleft()
-        elif eof.is_set() and lines.empty():
+        job = inbox.next_job()
+        if job is None:
             return 0
-        else:
-            try:
-                raw = lines.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            if _is_preempt_control(line):
-                continue  # stray control with no job in flight
-        preempt_flag.clear()
+        number, line = job
         reply = _stdio_reply(
             line,
-            preempt=_preempt,
+            preempt=lambda st, number=number: inbox.preempted(number),
             checkpoint_every=checkpoint_every,
             injector=injector,
         )

@@ -170,7 +170,8 @@ def load_encoding(solver, enc) -> bool:
     """Replay an encoding's recorded clauses into a live solver.
     Returns ``False`` when the clause database is already root-UNSAT."""
     solver.ensure_vars(enc.cnf.num_vars)
+    add_clause = solver.add_clause
     ok = True
     for clause in enc.cnf.clauses:
-        ok = solver.add_clause(clause) and ok
+        ok = add_clause(clause) and ok
     return ok

@@ -29,6 +29,12 @@ if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long end-to-end runs (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture(params=["python", "numpy"])
 def kernel(request, monkeypatch):
     """Parametrize a test over both search kernels via ``REPRO_KERNEL``

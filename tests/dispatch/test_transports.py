@@ -92,6 +92,39 @@ class TestStdioProtocol:
         replies = self._roundtrip(["", json.dumps({"spec": SPECS[1].to_payload()}), ""])
         assert len(replies) == 1 and replies[0]["ok"]
 
+    def _serve_buffered(self, lines: list[str]) -> list[dict]:
+        """Run the loop only once every line is queued, so the first
+        drain sees them all (the pump can race ahead of the loop)."""
+        from repro.dispatch.worker import _serve_stdio, _StdioInbox
+
+        inbox = _StdioInbox(io.StringIO("\n".join(lines) + "\n"))
+        assert inbox.eof.wait(10)
+        out = io.StringIO()
+        assert _serve_stdio(inbox, out, checkpoint_every=None) == 0
+        return [json.loads(line) for line in out.getvalue().splitlines()]
+
+    def test_preempt_buffered_behind_its_job_is_kept(self):
+        spec = CoverSpec.for_ring(8, backend="exact", use_hints=False)
+        replies = self._serve_buffered(
+            [json.dumps({"spec": spec.to_payload()}), json.dumps({"preempt": True})]
+        )
+        assert len(replies) == 1
+        assert replies[0]["kind"] == "Preempted"
+        assert replies[0]["spec_hash"] == spec.spec_hash
+        assert replies[0]["checkpoint"] is not None
+
+    def test_preempt_after_a_finished_job_spares_the_next(self):
+        quick, proof = SPECS[4], CoverSpec.for_ring(8, backend="exact", use_hints=False)
+        replies = self._serve_buffered(
+            [
+                json.dumps({"spec": quick.to_payload()}),
+                json.dumps({"preempt": True}),
+                json.dumps({"spec": proof.to_payload()}),
+            ]
+        )
+        assert [r["ok"] for r in replies] == [True, True]
+        assert replies[1]["result"] == solve(proof, cache=None).to_payload()
+
 
 class TestSpoolLayout:
     def test_drained_spool_leaves_results_and_stop(self, tmp_path):

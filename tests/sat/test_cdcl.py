@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.sat.cdcl import Cdcl, luby
+from repro.util.errors import SolverError
 
 
 def brute_force_sat(num_vars: int, clauses) -> bool:
@@ -126,6 +127,35 @@ class TestRandomFormulas:
             return sat, dict(s.model) if sat else None, s.conflicts, s.decisions
 
         assert run() == run()
+
+
+class TestVariableGrowth:
+    def test_new_vars_keep_root_assignments(self):
+        # Literal-indexed state: growing the variable range must not
+        # move an existing literal's slot.
+        s = Cdcl()
+        s.ensure_vars(2)
+        s.add_clause([-2])
+        assert (s.value(2), s.value(-2)) == (-1, 1)
+        v = s.new_var()
+        s.ensure_vars(5)
+        assert (s.value(2), s.value(-2)) == (-1, 1)
+        assert s.value(v) == s.value(-5) == 0
+        s.add_clause([2, -v])
+        s.add_clause([5, 1])
+        assert s.solve(assumptions=[-1]) is True
+        assert [s.model[u] for u in (1, 2, 3, 5)] == [False, False, False, True]
+
+    def test_out_of_range_literals_rejected(self):
+        s = Cdcl()
+        s.ensure_vars(3)
+        for bad in (0, 4, -4):
+            with pytest.raises(SolverError):
+                s.add_clause([1, bad])
+            with pytest.raises(SolverError):
+                s.solve(assumptions=[bad])
+            with pytest.raises(SolverError):
+                s.value(bad)
 
 
 class TestAssumptions:

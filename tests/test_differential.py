@@ -420,7 +420,10 @@ class TestMinBlocksGoldens:
             )
 
     def test_bench_solver_node_counts_reproduced(self, goldens):
-        with open(Path(__file__).parent.parent / "BENCH_solver.json", encoding="utf-8") as f:
+        # The benchmark's record (BENCH_solver.json) is a build artifact;
+        # its exact-certification node counts are pinned in a tracked
+        # golden so the check runs from a clean checkout.
+        with open(_GOLDEN_DIR / "exact_certification_nodes.json", encoding="utf-8") as f:
             bench = json.load(f)
         by_n = {row["n"]: row for row in bench["rows"]}
         for doc in goldens.values():
@@ -428,10 +431,9 @@ class TestMinBlocksGoldens:
             if payload["backend"] != "exact" or payload["spec"]["use_hints"]:
                 continue
             n = payload["spec"]["n"]
-            if n not in by_n:
-                continue
+            assert n in by_n, f"n={n}: no pinned exact-certification node count"
             assert payload["stats"]["nodes"] == by_n[n]["nodes"], (
-                f"n={n}: golden node count diverged from BENCH_solver.json"
+                f"n={n}: golden node count diverged from the pinned BENCH_solver counts"
             )
             assert payload["status"] == "proven_optimal"
             assert by_n[n]["proven"]
