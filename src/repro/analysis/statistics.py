@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.covering import Covering
 from ..util import circular
 
@@ -58,6 +56,8 @@ class CoveringStatistics:
 
 def covering_statistics(covering: Covering) -> CoveringStatistics:
     """Compute structural statistics (vectorised where it matters)."""
+    import numpy as np
+
     n = covering.n
 
     vertex_load = Counter()

@@ -120,7 +120,7 @@ from ..util.parallel import parallel_map, resolve_workers, weighted_chunks
 from .blocks import CycleBlock
 from .checkpoint import KIND_INSTANCE, KIND_KN, CappedMemo, SearchCheckpoint, memo_cap
 from .covering import Covering
-from .kernel import resolve_kernel
+from .kernel import load_numpy, resolve_kernel
 from .ledger import CoverageLedger
 from .objective import Objective, resolve_objective
 
@@ -576,6 +576,15 @@ class SolverEngine:
         # byte-identical envelopes and kernel-agnostic checkpoints.
         self.kernel = resolve_kernel(kernel)
 
+    def _numpy_kernel(self) -> bool:
+        """Whether a search starting now runs the numpy kernel.
+        Resolution only looked numpy up; if importing it fails, the
+        engine settles on the python kernel here, before any search
+        state exists."""
+        if self.kernel == "numpy" and load_numpy() is None:
+            self.kernel = "python"
+        return self.kernel == "numpy"
+
     # -- shared state (memoized at module level, cheap to re-ask) -------
 
     @property
@@ -884,7 +893,7 @@ class SolverEngine:
         """
         n = self.n
         obj = resolve_objective(objective)
-        if self.kernel == "numpy":
+        if self._numpy_kernel():
             from .kernel import numpy_covering_search
 
             return numpy_covering_search(
@@ -1342,7 +1351,7 @@ class SolverEngine:
         # argsort(kind="stable") over the same key keeps the scored
         # lists, and therefore the node sequence, identical.
         korder = None
-        if self.kernel == "numpy":
+        if self._numpy_kernel():
             from .kernel import InstanceOrder
 
             korder = InstanceOrder(n, self.max_size)

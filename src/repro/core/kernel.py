@@ -11,10 +11,15 @@ same:
 
 * :func:`resolve_kernel` — selection.  ``REPRO_KERNEL=python|numpy``
   (or the ``SolverEngine(kernel=...)`` argument) picks the kernel;
-  unset means *auto* (numpy when importable).  Requesting ``numpy``
+  unset means *auto* (numpy when installed).  Requesting ``numpy``
   without numpy installed silently falls back to ``python`` — the
   pure-Python path is always present and always the reference
-  implementation.
+  implementation.  Resolution only looks numpy up
+  (:func:`importlib.util.find_spec`); the import itself waits until a
+  search first builds its tables (:func:`load_numpy`), so processes
+  that never search — closed forms, pole completions, SAT proofs —
+  never pay for it.  A numpy that is found but fails to import lands
+  the engine on the python kernel before its search starts.
 * :class:`KnTables` — the SoA form of a :class:`BlockTable`: the
   block/chord incidence matrix, per-chord pre-gathered candidate rows
   (the branching tie-break order, preserved exactly), fused
@@ -66,6 +71,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from importlib.util import find_spec
 
 from ..util.errors import SolverError, SolverPreempted
 from .checkpoint import KIND_KN, CappedMemo, SearchCheckpoint, memo_cap
@@ -75,33 +81,35 @@ __all__ = [
     "KERNELS",
     "NO_NUMPY_ENV",
     "available_kernels",
+    "load_numpy",
     "numpy_available",
+    "preload_kernel",
     "resolve_kernel",
     "numpy_covering_search",
     "InstanceOrder",
 ]
 
 #: Environment variable selecting the kernel (``python``/``numpy``;
-#: unset or ``auto`` picks numpy when importable).
+#: unset or ``auto`` picks numpy when installed).
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Kernels a :class:`SolverEngine` can resolve to.
 KERNELS = ("python", "numpy")
 
 #: Set (to any non-empty value) to make the probe report numpy as
-#: absent.  CI's kernel-fallback job uses it to prove the python
-#: kernel still certifies everywhere the numpy kernel would have run,
-#: without uninstalling numpy out from under the rest of the package
-#: (the geometry helpers import it unconditionally).
+#: absent, so the python kernel runs everywhere the numpy kernel would
+#: have (CI's kernel-fallback job runs with it set, and again with
+#: numpy uninstalled).
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
 _UNRESOLVED = object()
 _numpy_module = _UNRESOLVED
 
 
-def _numpy():
-    """The numpy module, or ``None`` when not installed (cached);
-    ``REPRO_NO_NUMPY`` forces ``None``."""
+def load_numpy():
+    """Import numpy on first use and return it, or ``None`` when it is
+    absent or fails to import (cached); ``REPRO_NO_NUMPY`` forces
+    ``None``."""
     if os.environ.get(NO_NUMPY_ENV):
         return None
     global _numpy_module
@@ -110,13 +118,16 @@ def _numpy():
             import numpy
 
             _numpy_module = numpy
-        except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+        except ImportError:
             _numpy_module = None
     return _numpy_module
 
 
 def numpy_available() -> bool:
-    return _numpy() is not None
+    """Whether numpy is installed, without importing it."""
+    if os.environ.get(NO_NUMPY_ENV) or _numpy_module is None:
+        return False
+    return _numpy_module is not _UNRESOLVED or find_spec("numpy") is not None
 
 
 def available_kernels() -> tuple[str, ...]:
@@ -143,6 +154,13 @@ def resolve_kernel(kernel: str | None = None) -> str:
     return "numpy" if numpy_available() else "python"
 
 
+def preload_kernel() -> None:
+    """Import what the resolved kernel runs on, so the first search in
+    a long-lived process does not pay the numpy import."""
+    if resolve_kernel() == "numpy":
+        load_numpy()
+
+
 # ---------------------------------------------------------------------------
 # Structure-of-arrays tables
 # ---------------------------------------------------------------------------
@@ -154,7 +172,7 @@ class KnTables:
     def __init__(self, n: int, table):
         from .engine import edge_space
 
-        np = _numpy()
+        np = load_numpy()
         space = edge_space(n)
         nbits = len(space.edges)
         nblocks = len(table.blocks)
@@ -234,7 +252,7 @@ def _canon_tables(n: int):
     """
     from .engine import dihedral_bit_perms
 
-    np = _numpy()
+    np = load_numpy()
     perms = dihedral_bit_perms(n)
     nbits = len(perms[0])
     nperms = len(perms)
@@ -357,7 +375,7 @@ def numpy_covering_search(
     )
     from .objective import resolve_objective
 
-    np = _numpy()
+    np = load_numpy()
     n = engine.n
     obj = resolve_objective(objective)
     space = edge_space(n)

@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from itertools import islice
 
-import networkx as nx
-
 from ..core.blocks import CycleBlock
 from ..rings.topology import PhysicalNetwork
 from ..util.errors import ConstructionError, TopologyError
@@ -47,6 +45,8 @@ __all__ = [
 
 def ring_network_graph(n: int) -> PhysicalNetwork:
     """The paper's ring, as a general :class:`PhysicalNetwork`."""
+    import networkx as nx
+
     if n < 3:
         raise TopologyError(f"ring needs n ≥ 3, got {n}")
     return PhysicalNetwork(nx.cycle_graph(n), name=f"ring-{n}")
@@ -56,6 +56,8 @@ def tree_of_rings(ring_sizes: Sequence[int]) -> PhysicalNetwork:
     """A chain-of-rings network: ring ``i+1`` shares exactly one node
     with ring ``i`` (the classic SDH/WDM metro "tree of rings" in its
     path-shaped form).  Nodes are integers, assigned consecutively."""
+    import networkx as nx
+
     if not ring_sizes:
         raise TopologyError("tree of rings needs at least one ring")
     g = nx.Graph()
@@ -78,6 +80,8 @@ def tree_of_rings(ring_sizes: Sequence[int]) -> PhysicalNetwork:
 
 def grid_network(rows: int, cols: int) -> PhysicalNetwork:
     """A rows×cols mesh; nodes are relabelled to integers row-major."""
+    import networkx as nx
+
     if rows < 2 or cols < 2:
         raise TopologyError(f"grid needs ≥ 2×2, got {rows}×{cols}")
     g = nx.grid_2d_graph(rows, cols)
@@ -87,6 +91,8 @@ def grid_network(rows: int, cols: int) -> PhysicalNetwork:
 
 def torus_network(rows: int, cols: int) -> PhysicalNetwork:
     """A rows×cols torus (periodic grid)."""
+    import networkx as nx
+
     if rows < 3 or cols < 3:
         raise TopologyError(f"torus needs ≥ 3×3, got {rows}×{cols}")
     g = nx.grid_2d_graph(rows, cols, periodic=True)
@@ -118,6 +124,8 @@ def drc_route_on_graph(
     paper uses (≤ C4) and metro-scale topologies, 40 paths per request
     is exhaustive in practice.
     """
+    import networkx as nx
+
     g = network.graph
     requests = block.edges()
     for a, b in requests:

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import networkx as nx
-
 from ..core.blocks import CycleBlock
 from ..rings.topology import PhysicalNetwork
 from ..util import circular
@@ -45,6 +43,8 @@ __all__ = ["is_tree_of_rings", "rings_of", "gate_projection", "drc_on_tree_of_ri
 def rings_of(network: PhysicalNetwork) -> list[list]:
     """The constituent rings (biconnected components that are cycles),
     each as a node list in cyclic order."""
+    import networkx as nx
+
     g = network.graph
     rings = []
     for comp_edges in nx.biconnected_component_edges(g):
@@ -60,6 +60,8 @@ def rings_of(network: PhysicalNetwork) -> list[list]:
 
 def is_tree_of_rings(network: PhysicalNetwork) -> bool:
     """True when every biconnected component is a cycle (no bridges)."""
+    import networkx as nx
+
     g = network.graph
     if not nx.is_connected(g):
         return False
@@ -76,6 +78,8 @@ def _gate_map(network: PhysicalNetwork, ring_nodes: tuple) -> dict:
     """Map every graph node to its gate in the given ring: remove the
     ring's fibers; each remaining component touches exactly one ring
     node, through which all its traffic enters the ring."""
+    import networkx as nx
+
     g = network.graph.copy()
     ring_set = set(ring_nodes)
     k = len(ring_nodes)

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..util.errors import TopologyError
 from ..util.validation import check_positive, check_vertex
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["RingLink", "RingNetwork", "PhysicalNetwork"]
 
@@ -88,6 +90,8 @@ class RingNetwork:
         return ((v - 1) % self.n, (v + 1) % self.n)
 
     def as_graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.cycle_graph(self.n)
         for i in range(self.n):
             g.edges[i, (i + 1) % self.n]["capacity"] = self.link_capacity
@@ -123,6 +127,8 @@ class PhysicalNetwork:
     """
 
     def __init__(self, graph: nx.Graph, *, name: str = "custom") -> None:
+        import networkx as nx
+
         if graph.number_of_nodes() == 0:
             raise TopologyError("physical network must have at least one node")
         if any(u == v for u, v in graph.edges()):
@@ -145,16 +151,22 @@ class PhysicalNetwork:
         return self.graph.edges()
 
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return nx.is_connected(self.graph)
 
     def is_two_edge_connected(self) -> bool:
         """Survivable networks need 2-edge-connectivity (single link
         failures must leave all node pairs connected)."""
+        import networkx as nx
+
         if not nx.is_connected(self.graph):
             return False
         return not list(nx.bridges(self.graph))
 
     def is_ring(self) -> bool:
+        import networkx as nx
+
         return (
             self.num_nodes >= 3
             and self.num_nodes == self.num_links
@@ -164,6 +176,8 @@ class PhysicalNetwork:
 
     def ring_order(self) -> list[Hashable]:
         """The circular node order when the network is a ring."""
+        import networkx as nx
+
         if not self.is_ring():
             raise TopologyError(f"{self.name!r} is not a ring")
         return list(nx.cycle_basis(self.graph)[0])

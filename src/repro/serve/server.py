@@ -21,6 +21,7 @@ import sys
 import threading
 from http.server import ThreadingHTTPServer
 
+from ..core.kernel import preload_kernel
 from .handlers import ServeHandler
 from .service import SolverService
 
@@ -46,6 +47,10 @@ def run_server(
     install_signals: bool = True,
 ) -> int:
     """Serve until drained; returns the process exit code."""
+    # Load the search kernel (numpy unless REPRO_KERNEL/REPRO_NO_NUMPY
+    # say otherwise) before listening, so the first proof a fresh
+    # server runs does not pay for the import.
+    preload_kernel()
     httpd = SolverServer((host, port), service)
     recovered = service.start()
     real_port = httpd.server_address[1]

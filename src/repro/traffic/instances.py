@@ -12,11 +12,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..util import circular
 from ..util.validation import check_positive, check_vertex
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Instance", "all_to_all", "lambda_all_to_all", "from_requests", "ring_instance"]
 
@@ -86,6 +88,8 @@ class Instance:
 
     def as_graph(self) -> nx.MultiGraph:
         """The logical multigraph (one parallel edge per request unit)."""
+        import networkx as nx
+
         g = nx.MultiGraph()
         g.add_nodes_from(range(self.n))
         for (a, b), m in self.demand.items():

@@ -21,8 +21,10 @@ Conventions
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "gap",
@@ -229,6 +231,8 @@ def chord_distances_bulk(n: int, chords: np.ndarray) -> np.ndarray:
     Vectorised; used by the verifier and the counting bound on large
     instances where a Python loop over ``Θ(n²)`` chords would dominate.
     """
+    import numpy as np
+
     arr = np.asarray(chords, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected (m, 2) chord array, got shape {arr.shape}")
@@ -238,6 +242,8 @@ def chord_distances_bulk(n: int, chords: np.ndarray) -> np.ndarray:
 
 def cycle_gap_matrix(n: int, cycles: Sequence[Sequence[int]]) -> list[np.ndarray]:
     """Clockwise gap arrays for a batch of cycles (ragged lengths)."""
+    import numpy as np
+
     out: list[np.ndarray] = []
     for cyc in cycles:
         arr = np.asarray(cyc, dtype=np.int64)

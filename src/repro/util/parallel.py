@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -132,6 +131,8 @@ def parallel_map(
     nworkers = resolve_workers(workers)
     if nworkers == 1 or len(seq) < min_chunk:
         return [fn(item) for item in seq]
+    from concurrent.futures import ProcessPoolExecutor
+
     if weights is not None:
         index_bins = weighted_chunks(list(range(len(seq))), weights, nworkers)
         payloads = [(fn, [seq[i] for i in bin_]) for bin_ in index_bins]

@@ -7,7 +7,10 @@ ready :class:`numpy.random.Generator`; this module normalises both to a
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["as_generator", "DEFAULT_SEED"]
 
@@ -20,6 +23,8 @@ def as_generator(seed: int | np.random.Generator | None = None) -> np.random.Gen
     ``None`` maps to the library-wide default seed (fully deterministic),
     an ``int`` seeds a fresh PCG64, and a ``Generator`` passes through.
     """
+    import numpy as np
+
     if seed is None:
         return np.random.default_rng(DEFAULT_SEED)
     if isinstance(seed, np.random.Generator):

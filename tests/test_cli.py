@@ -111,6 +111,36 @@ class TestApiSubcommands:
         assert "E10" in capsys.readouterr().out
 
 
+class TestRangeArguments:
+    """A range that is malformed or empty is a usage error (exit 2),
+    never an empty table or a traceback."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["sweep", "--ns", "9..4"], "empty range '9..4'"),
+            (["rho", "9..4"], "empty range '9..4'"),
+            (["--rho", "9..4"], "empty range '9..4'"),
+            (["sweep", "--ns", "4..x"], "got '4..x'"),
+            (["sweep", "--ns", ""], "got ''"),
+            (["rho", "5,,9"], "got '5,,9'"),
+        ],
+    )
+    def test_bad_range_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
+
+    def test_list_range(self, capsys):
+        import json
+
+        assert main(["sweep", "--ns", "5,7", "--no-cache", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["spec"]["n"] for row in rows] == [5, 7]
+
+
 class TestObjectiveCli:
     def test_objectives_listing(self, capsys):
         assert main(["objectives"]) == 0
