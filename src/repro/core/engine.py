@@ -109,6 +109,7 @@ re-exporting the public entry points with their historical signatures.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -209,25 +210,43 @@ def _gap_compositions(total: int, parts: int, max_part: int) -> list[tuple[int, 
     return out
 
 
+def _least_rotation_period(gaps: tuple[int, ...]) -> int:
+    """The period of ``gaps`` (the fewest parts after which it repeats)
+    if it is the lexicographically least of its rotations, else 0."""
+    for r in range(1, len(gaps)):
+        rotated = gaps[r:] + gaps[:r]
+        if rotated < gaps:
+            return 0
+        if rotated == gaps:
+            return r
+    return len(gaps)
+
+
 @lru_cache(maxsize=64)
 def enumerate_tight_blocks(n: int, max_size: int = 4) -> tuple[CycleBlock, ...]:
     """All *tight* convex blocks of size 3..max_size on ``C_n`` (gaps
-    ≤ ⌊n/2⌋ summing to n), deduplicated by canonical rotation."""
+    ≤ ⌊n/2⌋ summing to n), each listed once.
+
+    A block is its vertex set, so it arises from every rotation of its
+    gap cycle.  Compositions come out in lexicographic order, so a block
+    is listed at the least rotation of its gap cycle, from the starts
+    ``0..s-1`` where ``s`` is the ring distance of one period of the
+    gaps (``s`` divides ``n``; start ``s`` gives the same block again).
+    """
     if n < 3:
         raise SolverError(f"n ≥ 3 required, got {n}")
     half = n // 2
-    seen: set[tuple[int, ...]] = set()
     blocks: list[CycleBlock] = []
     for size in range(3, max_size + 1):
         for gaps in _gap_compositions(n, size, half):
-            for start in range(n):
+            period = _least_rotation_period(gaps)
+            if not period:
+                continue  # listed at a smaller rotation already
+            for start in range(sum(gaps[:period])):
                 vs = [start]
                 for g in gaps[:-1]:
                     vs.append((vs[-1] + g) % n)
-                blk = CycleBlock(tuple(vs))
-                if blk.canonical not in seen:
-                    seen.add(blk.canonical)
-                    blocks.append(blk)
+                blocks.append(CycleBlock(tuple(vs)))
     return tuple(blocks)
 
 
@@ -1569,22 +1588,31 @@ class SolverEngine:
 
         ``max_triangles`` bounds the number of C3 blocks (the pole
         completion needs exactly one — enforced by edge counts, bounding
-        merely prunes).  Deterministic DFS over bitmasks; explored node
-        counts are reported through ``stats`` (same contract as
+        merely prunes).  Deterministic DFS over bitmasks, run on an
+        explicit stack so deep partitions (about ``n²/8`` blocks) do not
+        hit the interpreter's recursion limit; explored node counts are
+        reported through ``stats`` (same contract as
         :meth:`min_covering`).  Dominance filtering is deliberately
         *not* applied here: replacing a block by a strict superset
         changes the partition, so dominated candidates can still be the
         only way to complete a decomposition.
 
-        ``strategy`` selects the branching variable: ``"mrv"`` (default)
-        recomputes the fewest-live-candidates edge at every node —
-        near-backtrack-free on the pole completions; ``"static"`` uses a
-        one-shot scarcity order — cheaper per node but can thrash (kept
+        ``strategy`` selects the branching edge; each node tries that
+        edge's live candidates (those disjoint from the chosen blocks)
+        in pool order.  ``"mrv"`` (default) takes the uncovered edge
+        with the fewest live candidates — the first with at most one,
+        else the lowest-index minimum — which keeps the pole completions
+        near backtrack-free.  Live counts are kept per edge: choosing a
+        block decrements the edges of every candidate it kills and
+        backtracking restores them, so a node costs one pass over the
+        uncovered edges' counts, not over their candidate lists.
+        ``"static"`` uses a one-shot scarcity order and can thrash (kept
         for the ablation benchmark, which quantifies the difference).
         """
         n = self.n
         if strategy not in ("mrv", "static"):
             raise SolverError(f"unknown branching strategy {strategy!r}")
+        mrv = strategy == "mrv"
         edge_list = sorted(edges)
         index = {e: i for i, e in enumerate(edge_list)}
         full_mask = (1 << len(edge_list)) - 1
@@ -1595,105 +1623,112 @@ class SolverEngine:
             return []
 
         pool = candidates if candidates is not None else enumerate_tight_blocks(n)
-        usable: list[tuple[int, CycleBlock]] = []
+        blocks: list[CycleBlock] = []
+        masks: list[int] = []
+        bit_lists: list[tuple[int, ...]] = []
         for blk in pool:
             bes = blk.edges()
             if all(e in index for e in bes):
+                bits = tuple(index[e] for e in bes)
                 mask = 0
-                for e in bes:
-                    mask |= 1 << index[e]
-                usable.append((mask, blk))
+                for b in bits:
+                    mask |= 1 << b
+                blocks.append(blk)
+                masks.append(mask)
+                bit_lists.append(bits)
 
-        per_edge: list[list[tuple[int, CycleBlock]]] = [[] for _ in edge_list]
-        for mask, blk in usable:
-            m = mask
-            while m:
-                low = (m & -m).bit_length() - 1
-                per_edge[low].append((mask, blk))
-                m &= m - 1
+        per_edge: list[list[int]] = [[] for _ in edge_list]
+        for ci, bits in enumerate(bit_lists):
+            for b in bits:
+                per_edge[b].append(ci)
         if any(not cands for cands in per_edge):
             # Some edge has no candidate block at all: non-existence is
             # certified without search, same stats contract as below.
             st.proven_optimal = True
             return None
+        live = [len(cands) for cands in per_edge]  # mrv: live candidates per edge
 
-        static_rank: list[int] | None = None
-        if strategy == "static":
+        static_rank: list[int] = []
+        if not mrv:
             order = sorted(range(len(edge_list)), key=lambda i: len(per_edge[i]))
             static_rank = [0] * len(edge_list)
             for pos, i in enumerate(order):
                 static_rank[i] = pos
 
-        def static_choice(covered: int) -> tuple[int, list[tuple[int, CycleBlock]]]:
-            assert static_rank is not None
+        def branch_edge(covered: int) -> int:
             best = -1
-            best_rank = len(edge_list) + 1
+            best_key = 1 << 30
             m = (~covered) & full_mask
             while m:
                 low = (m & -m).bit_length() - 1
                 m &= m - 1
-                if static_rank[low] < best_rank:
-                    best_rank = static_rank[low]
+                key = live[low] if mrv else static_rank[low]
+                if key < best_key:
+                    best_key = key
                     best = low
-            cands = [c for c in per_edge[best] if not c[0] & covered]
-            return best, cands
-
-        def most_constrained(covered: int) -> tuple[int, list[tuple[int, CycleBlock]]]:
-            """Dynamic MRV: the uncovered edge with fewest live candidates.
-
-            Scanning candidate lists per node costs more than a static
-            order but keeps backtracking near zero on these structured
-            instances (the paper-scale bottleneck is a thrashing search,
-            not the scan).
-            """
-            best_edge = -1
-            best_cands: list[tuple[int, CycleBlock]] = []
-            best_count = 1 << 30
-            m = (~covered) & full_mask
-            while m:
-                low = (m & -m).bit_length() - 1
-                m &= m - 1
-                count = 0
-                cands: list[tuple[int, CycleBlock]] = []
-                for cand in per_edge[low]:
-                    if not cand[0] & covered:
-                        count += 1
-                        cands.append(cand)
-                        if count >= best_count:
-                            break
-                if count < best_count:
-                    best_count = count
-                    best_edge = low
-                    best_cands = cands
-                    if count <= 1:
+                    if mrv and key <= 1:
                         break
-            return best_edge, best_cands
+            return best
 
-        def dfs(covered: int, triangles_used: int, chosen: list[CycleBlock]) -> bool:
+        def open_node(covered: int) -> list[int] | None:
+            """Count a node; its candidates to try, or None when solved."""
             st.nodes += 1
             if st.nodes > node_limit:
                 raise SolverError(
                     f"exact_decomposition exceeded node limit {node_limit} for n={n}"
                 )
             if covered == full_mask:
-                return True
-            chooser = static_choice if strategy == "static" else most_constrained
-            _, cands = chooser(covered)
-            for mask, blk in cands:
-                tri = 1 if blk.size == 3 else 0
-                if max_triangles is not None and triangles_used + tri > max_triangles:
-                    continue
-                chosen.append(blk)
-                if dfs(covered | mask, triangles_used + tri, chosen):
-                    return True
-                chosen.pop()
-            return False
+                return None
+            return [ci for ci in per_edge[branch_edge(covered)] if not masks[ci] & covered]
 
-        chosen: list[CycleBlock] = []
-        if dfs(0, 0, chosen):
-            st.best_value = len(chosen)
-            st.proven_optimal = True
-            return chosen
+        def kill(ci: int, covered: int) -> list[int]:
+            """Take every live candidate sharing an edge with block ``ci``
+            (itself included) off the live counts; returns them for
+            :func:`revive`."""
+            dead: list[int] = []
+            for b in bit_lists[ci]:
+                for c in per_edge[b]:
+                    if not masks[c] & covered:
+                        dead.append(c)
+                        for b2 in bit_lists[c]:
+                            live[b2] -= 1
+                covered |= 1 << b  # later edges skip candidates already counted
+            return dead
+
+        def revive(dead: list[int]) -> None:
+            for c in dead:
+                for b in bit_lists[c]:
+                    live[b] += 1
+
+        chosen: list[int] = []  # block chosen at each frame below the top
+        killed: list[list[int]] = []  # mrv: what each chosen block killed
+        root = open_node(0)
+        assert root is not None  # full_mask != 0
+        # Frame: (untried candidates, covered mask, triangles used).
+        stack: list[tuple[Iterator[int], int, int]] = [(iter(root), 0, 0)]
+        while stack:
+            untried, covered, triangles_used = stack[-1]
+            for ci in untried:
+                tri = 1 if blocks[ci].size == 3 else 0
+                if max_triangles is None or triangles_used + tri <= max_triangles:
+                    break
+            else:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                    if mrv:
+                        revive(killed.pop())
+                continue
+            chosen.append(ci)
+            if mrv:
+                killed.append(kill(ci, covered))
+            covered |= masks[ci]
+            cands = open_node(covered)
+            if cands is None:
+                st.best_value = len(chosen)
+                st.proven_optimal = True
+                return [blocks[i] for i in chosen]
+            stack.append((iter(cands), covered, triangles_used + tri))
         st.proven_optimal = True  # exhaustive: non-existence is certified
         return None
 

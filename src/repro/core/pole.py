@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..util import circular
-from ..util.errors import ConstructionError
+from ..util.errors import ConstructionError, SolverError
 from ..util.validation import as_int
 from .blocks import CycleBlock
 from .covering import Covering
@@ -66,7 +66,7 @@ def pole_decomposition(n_prime: int) -> Covering:
         )
     q = (n_prime - 3) // 4
 
-    last_error: Exception | None = None
+    last_error: SolverError | None = None
     for w in (2 * q + 2, 2 * q + 1):
         forced = pole_forced_blocks(n_prime, w)
         covered: set[tuple[int, int]] = set()
@@ -94,7 +94,7 @@ def pole_decomposition(n_prime: int) -> Covering:
                 max_triangles=1,
                 candidates=enumerate_tight_blocks(n_prime),
             )
-        except Exception as exc:  # node-limit blowups fall through to next w
+        except SolverError as exc:  # node-limit blowups fall through to next w
             last_error = exc
             completion = None
         if completion is None:
